@@ -29,9 +29,9 @@
 // The frontier data layout is columnar: every bucket mirrors, per
 // output representation, its plans' cost vectors in a cost.Columns
 // block (one contiguous column per metric, parallel to admission
-// order), and the admission, pruning and eviction predicates run as
-// batch kernels over those columns instead of dereferencing a plan
-// pointer per comparison. The mirrors are pure derived state,
+// order, all columns in one strided allocation), and the admission,
+// pruning and eviction predicates run as batch kernels over those
+// columns instead of dereferencing a plan pointer per comparison. The mirrors are pure derived state,
 // maintained incrementally under the same lock discipline as the plan
 // slices they shadow: admissions append, evictions compact in
 // lockstep with the surviving plans, and wholesale rewrites (shed,
@@ -49,14 +49,30 @@
 // probed with the plain reference scan and carry no index at all, and
 // an admission merely invalidates the class index until the next
 // over-cutoff probe rebuilds it — cold runs full of small buckets pay
-// nothing for the machinery. The admission DECISION is bit-identical
-// to the naive scan; only the work differs. On top, a per-bucket α-cell
+// nothing for the machinery, not even its memory: the sorted indexes
+// and the grid live in an out-of-line bucketIndex that a bucket
+// allocates on its first over-cutoff probe or grid build, and that
+// shed drops. The admission DECISION is bit-identical to the naive
+// scan; only the work differs. On top, a per-bucket α-cell
 // grid keyed by ⌊log_α cost⌋ per component (the logarithmic cost cells
 // of Lemma 6) provides O(1) rejection at coarse α: plans sharing a cell
 // approximately dominate each other, so an occupied cell rejects a
 // candidate after a single verification against the cell representative.
 // Grid hits are verified, and evicted representatives stay sound because
 // every evicted plan is weakly dominated by a surviving one.
+//
+// # Footprint
+//
+// Nothing bounds the number of table sets a store accumulates (Lemma 6
+// bounds only the plans per set), so at serving scale the fixed cost
+// of a set dominates memory: every set keeps a Bucket in each private
+// cache and a sharedBucket in the session store, and every cached plan
+// is a plan.Plan. Those structs are laid out for the Go allocator's
+// size classes — state only large frontiers need sits behind the lazy
+// bucketIndex pointer, scalars are ordered to pack, and plan.Plan
+// orders its fields the same way — and TestCacheFootprint pins the
+// resulting sizes (Bucket ≤ 320, sharedBucket ≤ 352, plan.Plan ≤ 96
+// bytes).
 //
 // # Generations and deltas
 //
@@ -221,6 +237,24 @@ type outIdx struct {
 	corners cost.Columns
 }
 
+// bucketIndex is a bucket's acceleration state beyond the class
+// mirrors: the per-class sorted indexes and the α-cell grid. It lives
+// out of line, allocated on a bucket's first over-cutoff probe
+// (ensureIdx) or first grid build (Prepare), because most table sets
+// never grow a class past linearScanCutoff (Lemma 6 at coarse α) and
+// would otherwise carry its 256 bytes for nothing. It is pure derived
+// state: shed drops it, and the next probe that needs it rebuilds it.
+type bucketIndex struct {
+	idx [plan.NumOutputProps]outIdx
+
+	grid      map[gridKey]*plan.Plan
+	gridAlpha float64
+	gridInv   float64 // 1/ln(gridAlpha)
+	// cellBuf is Prepare's scratch for batch-computed α-cell
+	// coordinates, reused across rebuilds.
+	cellBuf [][cost.MaxMetrics]int16
+}
+
 // gridKey addresses one logarithmic cost cell of one output
 // representation (Lemma 6's cells, keyed per format because pruning
 // never compares across formats).
@@ -273,22 +307,27 @@ type Visit struct {
 // frontier-approximation inner loops. Plans are kept in admission order,
 // so delta consumers (Since, BeginRecomb) see newly admitted plans as a
 // suffix.
+//
+// Its size is the cache's fixed cost per table set (see Footprint in
+// the package documentation): keep the scalars packed together, and
+// put state that only large frontiers need behind ix.
 type Bucket struct {
 	plans  []*plan.Plan
 	epochs []uint64 // admission epoch per plan; ascending
 	epoch  uint64   // admissions ever (evictions do not decrease it)
 	cache  *Cache
-	naive  bool
 
 	// id is the interned id of the bucket's table set (NoID for overflow
 	// buckets); shared-cache synchronization uses it to address the
 	// session store without re-interning.
-	id tableset.ID
+	id    tableset.ID
+	naive bool
 	// dirty marks membership on the cache's dirty list; syncMark is the
 	// admission epoch up to which the bucket's plans have been published
 	// to the session's shared cache (see SyncState in shared.go).
-	dirty    bool
-	syncMark uint64
+	dirty     bool
+	hasCorner bool // corner holds at least one admission
+	syncMark  uint64
 
 	// byOut mirrors the frontier per output class in struct-of-arrays
 	// form (see outClass); len(byOut[out].plans) is also the per-class
@@ -299,17 +338,11 @@ type Bucket struct {
 	// Evictions may leave it lower than the current frontier's true
 	// minimum, which only loosens (never unsounds) the floors built on
 	// it: a lower bound of a superset bounds the subset.
-	corner    cost.Vector
-	hasCorner bool
+	corner cost.Vector
 
-	idx [plan.NumOutputProps]outIdx
-
-	grid      map[gridKey]*plan.Plan
-	gridAlpha float64
-	gridInv   float64 // 1/ln(gridAlpha)
-	// cellBuf is Prepare's scratch for batch-computed α-cell
-	// coordinates, reused across rebuilds.
-	cellBuf [][cost.MaxMetrics]int16
+	// ix holds the sorted indexes and the α-cell grid; nil until a
+	// class outgrows linearScanCutoff or the grid is first built.
+	ix *bucketIndex
 
 	recombs   []recombState
 	recombIdx map[bucketPair]int
@@ -366,11 +399,14 @@ func (b *Bucket) Prepare(alpha float64) {
 	if b.naive {
 		return
 	}
+	ix := b.ix
 	if alpha < minGridAlpha || math.IsInf(alpha, 1) {
-		b.grid = nil
+		if ix != nil {
+			ix.grid = nil
+		}
 		return
 	}
-	if b.grid != nil && alpha == b.gridAlpha {
+	if ix != nil && ix.grid != nil && alpha == ix.gridAlpha {
 		// Up to date; size dips below minGridPlans do not discard an
 		// already built grid (no rebuild thrash around the threshold).
 		return
@@ -381,12 +417,16 @@ func (b *Bucket) Prepare(alpha float64) {
 		// next rebuild reuses its storage.
 		return
 	}
-	b.gridAlpha = alpha
-	b.gridInv = 1 / math.Log(alpha)
-	if b.grid == nil {
-		b.grid = make(map[gridKey]*plan.Plan, len(b.plans)+8)
+	if ix == nil {
+		ix = new(bucketIndex)
+		b.ix = ix
+	}
+	ix.gridAlpha = alpha
+	ix.gridInv = 1 / math.Log(alpha)
+	if ix.grid == nil {
+		ix.grid = make(map[gridKey]*plan.Plan, len(b.plans)+8)
 	} else {
-		clear(b.grid)
+		clear(ix.grid)
 	}
 	// Batch-compute the cell coordinates per class with one column sweep
 	// instead of one Cells call per plan. Within a class the admission
@@ -398,13 +438,13 @@ func (b *Bucket) Prepare(alpha float64) {
 		if len(oc.plans) == 0 {
 			continue
 		}
-		if cap(b.cellBuf) < len(oc.plans) {
-			b.cellBuf = make([][cost.MaxMetrics]int16, len(oc.plans), 2*len(oc.plans))
+		if cap(ix.cellBuf) < len(oc.plans) {
+			ix.cellBuf = make([][cost.MaxMetrics]int16, len(oc.plans), 2*len(oc.plans))
 		}
-		b.cellBuf = b.cellBuf[:len(oc.plans)]
-		oc.cols.CellsInto(b.gridInv, b.cellBuf)
+		ix.cellBuf = ix.cellBuf[:len(oc.plans)]
+		oc.cols.CellsInto(ix.gridInv, ix.cellBuf)
 		for j, p := range oc.plans {
-			b.grid[gridKey{plan.OutputProp(out), b.cellBuf[j]}] = p
+			ix.grid[gridKey{plan.OutputProp(out), ix.cellBuf[j]}] = p
 		}
 	}
 }
@@ -439,8 +479,8 @@ func (b *Bucket) Admits(vec cost.Vector, out plan.OutputProp, alpha float64) boo
 		// kernel call over the class columns.
 		return !oc.cols.ApproxDominatedBy(vec, alpha)
 	}
-	if b.grid != nil && alpha == b.gridAlpha {
-		if rep := b.grid[gridKey{out, vec.Cells(b.gridInv)}]; rep != nil && rep.Cost.ApproxDominates(vec, alpha) {
+	if ix := b.ix; ix != nil && ix.grid != nil && alpha == ix.gridAlpha {
+		if rep := ix.grid[gridKey{out, vec.Cells(ix.gridInv)}]; rep != nil && rep.Cost.ApproxDominates(vec, alpha) {
 			// The representative was admitted once; if since evicted, a
 			// surviving plan weakly dominates it and thus also α-dominates
 			// vec — the rejection matches the naive scan either way.
@@ -489,12 +529,16 @@ func (b *Bucket) Corner() (cost.Vector, bool) {
 }
 
 // ensureIdx returns the dominance index of the output class, rebuilding
-// it if admissions invalidated it since the last build. The rebuild is
-// a copy of the class's admission-ordered mirror plus one stable sort
+// it if admissions invalidated it since the last build (and allocating
+// the bucket's out-of-line index state on first use). The rebuild is a
+// copy of the class's admission-ordered mirror plus one stable sort
 // (so ties on the first metric keep admission order), then two column
 // sweeps: the sorted cost columns and their prefix-min corners.
 func (b *Bucket) ensureIdx(out plan.OutputProp) *outIdx {
-	ix := &b.idx[out]
+	if b.ix == nil {
+		b.ix = new(bucketIndex) //rmq:allow-alloc(once per bucket, on its first over-cutoff probe)
+	}
+	ix := &b.ix.idx[out]
 	oc := &b.byOut[out]
 	if len(ix.sorted) == len(oc.plans) {
 		return ix
@@ -603,19 +647,22 @@ func (b *Bucket) Insert(newPlan *plan.Plan, alpha float64) bool {
 	if !b.naive {
 		oc.plans = append(oc.plans, newPlan) //rmq:allow-alloc(admission retains the plan in its class mirror; growth is amortized)
 		oc.cols.Append(newPlan.Cost)
-		// Invalidate the class index; the next over-cutoff probe
-		// rebuilds it. Small classes never build one at all.
-		b.idx[out].sorted = b.idx[out].sorted[:0]
+		if ix := b.ix; ix != nil {
+			// Invalidate the class index; the next over-cutoff probe
+			// rebuilds it. Small classes never build one at all.
+			ix.idx[out].sorted = ix.idx[out].sorted[:0]
+			if ix.grid != nil && alpha == ix.gridAlpha {
+				// Stale cells of evicted plans stay: their dominator chain
+				// ends in a surviving plan, so rejections through them
+				// remain sound.
+				ix.grid[gridKey{out, newPlan.Cost.Cells(ix.gridInv)}] = newPlan //rmq:allow-alloc(grid upkeep on admission; the hot rejecting case never writes)
+			}
+		}
 		if b.hasCorner {
 			b.corner = b.corner.Min(newPlan.Cost)
 		} else {
 			b.corner = newPlan.Cost
 			b.hasCorner = true
-		}
-		if b.grid != nil && alpha == b.gridAlpha {
-			// Stale cells of evicted plans stay: their dominator chain ends
-			// in a surviving plan, so rejections through them remain sound.
-			b.grid[gridKey{out, newPlan.Cost.Cells(b.gridInv)}] = newPlan //rmq:allow-alloc(grid upkeep on admission; the hot rejecting case never writes)
 		}
 	}
 	return true

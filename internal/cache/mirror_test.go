@@ -41,8 +41,11 @@ func checkMirrors(t *testing.T, b *Bucket) {
 			t.Fatalf("class %d columns hold %d entries, mirror %d plans", out, oc.cols.Len(), len(oc.plans))
 		}
 	}
-	for out := range b.idx {
-		ix := &b.idx[out]
+	if b.ix == nil {
+		return // no class outgrew the linear scan and no grid was built
+	}
+	for out := range b.ix.idx {
+		ix := &b.ix.idx[out]
 		oc := &b.byOut[out]
 		if len(ix.sorted) != len(oc.plans) || len(ix.sorted) == 0 {
 			continue // invalidated (or never built); ensureIdx rebuilds before use

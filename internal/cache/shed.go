@@ -28,9 +28,14 @@ const bytesPerPlan = int64(unsafe.Sizeof(plan.Plan{})) + int64(unsafe.Sizeof((*p
 const bytesPerSet = int64(unsafe.Sizeof(sharedBucket{})) + int64(unsafe.Sizeof((*sharedBucket)(nil)))
 
 // Bytes estimates the store's retained memory from its set and plan
-// counts. An estimate, not an accounting: index and grid scratch
-// rebuilt on demand are excluded, so the true footprint can transiently
-// exceed it. Budget checks should leave headroom accordingly.
+// counts, sized by the structs themselves (unsafe.Sizeof), so layout
+// changes carry through. An estimate, not an accounting: the lazily
+// allocated index state of large buckets (bucketIndex) and the slice
+// and column capacity behind each frontier are excluded, and so are
+// the private caches of the session's pooled problem instances, which
+// hold their own Bucket per table set they have touched. The process
+// footprint is therefore well above it. Budget checks should leave
+// headroom accordingly.
 func (s *Shared) Bytes() int64 {
 	return s.plans.Load()*bytesPerPlan + s.sets.Load()*bytesPerSet
 }
@@ -106,9 +111,10 @@ func (s *Shared) Shed(alpha float64) (removed int) {
 // under α — exactly the prune an admission sequence under retention α
 // would have produced. Admission order and ascending epochs are
 // preserved, the per-output class mirrors are rebuilt wholesale, the
-// class indexes and the α-cell grid are invalidated (a grid rejection
-// must never chain through a plan this shed removed), and the corner
-// stays: a lower bound over a superset still bounds the survivors.
+// out-of-line index state (class indexes and α-cell grid) is dropped —
+// a grid rejection must never chain through a plan this shed removed —
+// and the corner stays: a lower bound over a superset still bounds the
+// survivors.
 func (b *Bucket) shed(alpha float64) (removed int) {
 	if len(b.plans) == 0 {
 		return 0
@@ -133,13 +139,7 @@ func (b *Bucket) shed(alpha float64) (removed int) {
 		return 0
 	}
 	b.rebuildMirrors()
-	for out := range b.idx {
-		b.idx[out].sorted = b.idx[out].sorted[:0]
-		b.idx[out].cols.Reset()
-		b.idx[out].corners.Reset()
-	}
-	b.grid = nil
-	b.gridAlpha = 0
+	b.ix = nil
 	return removed
 }
 

@@ -6,21 +6,27 @@ import (
 )
 
 // Columns is a struct-of-arrays mirror of a sequence of cost Vectors:
-// one contiguous []float64 per metric, parallel to append order. Batch
-// dominance kernels sweep these columns instead of chasing a pointer
-// per plan, so an admission probe against an n-plan frontier touches n
-// consecutive doubles per metric — the layout the compiler can keep in
-// cache lines and vector registers.
+// one contiguous column of float64 per metric, parallel to append
+// order. Batch dominance kernels sweep these columns instead of chasing
+// a pointer per plan, so an admission probe against an n-plan frontier
+// touches n consecutive doubles per metric — the layout the compiler
+// can keep in cache lines and vector registers.
+//
+// All columns live in one strided backing array: column d is
+// data[d*stride : d*stride+n], so a block costs one allocation whatever
+// its dimension and its header stays at five words. Appends that fill
+// the stride regrow every column at once (stride 4, 8, 16, …); Grow
+// sizes it exactly for bulk rebuilds.
 //
 // The dimension is fixed by the first Append into an empty block; every
 // later Append must match it (buckets hold plans of one dimension, so
 // in practice the dimension is chosen once per bucket). Kernels
 // dispatch on that stored dimension once per sweep — via dim1..dim4
-// specializations with hoisted per-metric bounds — not once per
-// element, which is what makes the inner loops a single fused
-// compare-and-branch per entry.
+// specializations with hoisted per-metric bounds and the column slices
+// cut once before the loop — not once per element, which is what makes
+// the inner loops a single fused compare-and-branch per entry.
 //
-// All kernels are semantics-preserving replacas of the per-Vector
+// All kernels are semantics-preserving replicas of the per-Vector
 // relations in this package: for saturated (finite, ≤ Saturation)
 // components the fused form max(xᵢ-bᵢ, …) ≤ 0 decides exactly the same
 // predicate as the member-wise xᵢ ≤ bᵢ comparisons, because IEEE-754
@@ -28,10 +34,14 @@ import (
 // are equal. Callers that admit α = +Inf must handle it before the
 // sweep, exactly as Vector.ApproxDominates does.
 type Columns struct {
-	col [MaxMetrics][]float64
-	n   int
-	dim int8
+	data   []float64 // len(data) ≥ dim*stride; column d starts at d*stride
+	n      int
+	stride int32
+	dim    int8
 }
+
+// minStride is the per-column capacity of a block's first allocation.
+const minStride = 4
 
 // Len returns the number of entries in the block.
 //
@@ -46,11 +56,34 @@ func (c *Columns) Dim() int { return int(c.dim) }
 // Reset empties the block, keeping capacity for reuse.
 //
 //rmq:hotpath
-func (c *Columns) Reset() {
-	for d := 0; d < int(c.dim); d++ {
-		c.col[d] = c.col[d][:0]
+func (c *Columns) Reset() { c.n = 0 }
+
+// setDim fixes the dimension of an empty block, re-striding the backing
+// array it already owns for the new column count.
+//
+//rmq:hotpath
+func (c *Columns) setDim(dim int8) {
+	if dim == c.dim {
+		return
 	}
-	c.n = 0
+	c.dim = dim
+	c.stride = 0
+	if dim > 0 {
+		c.stride = int32(len(c.data) / int(dim))
+	}
+}
+
+// restride moves the block into a fresh backing array of the given
+// per-column capacity (≥ Len), keeping its contents.
+//
+//rmq:hotpath
+func (c *Columns) restride(stride int) {
+	data := make([]float64, int(c.dim)*stride) //rmq:allow-alloc(amortized block growth: one allocation for every column)
+	for d := 0; d < int(c.dim); d++ {
+		copy(data[d*stride:], c.Col(d))
+	}
+	c.data = data
+	c.stride = int32(stride)
 }
 
 // Append adds one vector at the end of the block. The first append into
@@ -59,12 +92,16 @@ func (c *Columns) Reset() {
 //rmq:hotpath
 func (c *Columns) Append(v Vector) {
 	if c.n == 0 {
-		c.dim = v.N
+		c.setDim(v.N)
 	} else if v.N != c.dim {
 		panic(fmt.Sprintf("cost: Columns dimension mismatch %d vs %d", v.N, c.dim)) //rmq:allow-alloc(allocates only while crashing on a dimension bug)
 	}
+	if c.n == int(c.stride) && c.dim > 0 {
+		c.restride(max(minStride, 2*c.n))
+	}
+	s := int(c.stride)
 	for d := 0; d < int(c.dim); d++ {
-		c.col[d] = append(c.col[d], v.V[d]) //rmq:allow-alloc(amortized column growth, same policy as the plan slice it mirrors)
+		c.data[d*s+c.n] = v.V[d]
 	}
 	c.n++
 }
@@ -75,8 +112,9 @@ func (c *Columns) Append(v Vector) {
 func (c *Columns) At(i int) Vector {
 	var v Vector
 	v.N = c.dim
+	s := int(c.stride)
 	for d := 0; d < int(c.dim); d++ {
-		v.V[d] = c.col[d][i]
+		v.V[d] = c.data[d*s+i]
 	}
 	return v
 }
@@ -86,7 +124,16 @@ func (c *Columns) At(i int) Vector {
 // the sorted first metric reads it directly.
 //
 //rmq:hotpath
-func (c *Columns) Col(d int) []float64 { return c.col[d][:c.n] }
+func (c *Columns) Col(d int) []float64 { return c.prefix(d, c.n) }
+
+// prefix returns the first n entries of column d, capped so an append
+// through the slice can never spill into the next column.
+//
+//rmq:hotpath
+func (c *Columns) prefix(d, n int) []float64 {
+	off := d * int(c.stride)
+	return c.data[off : off+n : off+n]
+}
 
 // Move copies entry src over entry dst. Eviction sweeps use it to
 // compact surviving entries in place, in lockstep with the plan slice
@@ -94,20 +141,16 @@ func (c *Columns) Col(d int) []float64 { return c.col[d][:c.n] }
 //
 //rmq:hotpath
 func (c *Columns) Move(dst, src int) {
+	s := int(c.stride)
 	for d := 0; d < int(c.dim); d++ {
-		c.col[d][dst] = c.col[d][src]
+		c.data[d*s+dst] = c.data[d*s+src]
 	}
 }
 
 // Truncate shortens the block to n entries, keeping capacity.
 //
 //rmq:hotpath
-func (c *Columns) Truncate(n int) {
-	for d := 0; d < int(c.dim); d++ {
-		c.col[d] = c.col[d][:n]
-	}
-	c.n = n
-}
+func (c *Columns) Truncate(n int) { c.n = n }
 
 // Grow reserves capacity for n entries of the given dimension without
 // changing the block's contents. Bulk rebuilds (snapshot import, shed)
@@ -117,16 +160,12 @@ func (c *Columns) Truncate(n int) {
 // Append would.
 func (c *Columns) Grow(dim int8, n int) {
 	if c.n == 0 {
-		c.dim = dim
+		c.setDim(dim)
 	} else if dim != c.dim {
 		panic(fmt.Sprintf("cost: Columns dimension mismatch %d vs %d", dim, c.dim))
 	}
-	for d := 0; d < int(c.dim); d++ {
-		if cap(c.col[d]) < n {
-			grown := make([]float64, len(c.col[d]), n)
-			copy(grown, c.col[d])
-			c.col[d] = grown
-		}
+	if n > int(c.stride) && c.dim > 0 {
+		c.restride(n)
 	}
 }
 
@@ -156,14 +195,14 @@ func (c *Columns) PrefixApproxDominatedBy(n int, v Vector, alpha float64) bool {
 	}
 	switch c.dim {
 	case 1:
-		return anyLE1(c.col[0][:n], alpha*v.V[0])
+		return anyLE1(c.prefix(0, n), alpha*v.V[0])
 	case 2:
-		return anyLE2(c.col[0][:n], c.col[1][:n], alpha*v.V[0], alpha*v.V[1])
+		return anyLE2(c.prefix(0, n), c.prefix(1, n), alpha*v.V[0], alpha*v.V[1])
 	case 3:
-		return anyLE3(c.col[0][:n], c.col[1][:n], c.col[2][:n],
+		return anyLE3(c.prefix(0, n), c.prefix(1, n), c.prefix(2, n),
 			alpha*v.V[0], alpha*v.V[1], alpha*v.V[2])
 	case 4:
-		return anyLE4(c.col[0][:n], c.col[1][:n], c.col[2][:n], c.col[3][:n],
+		return anyLE4(c.prefix(0, n), c.prefix(1, n), c.prefix(2, n), c.prefix(3, n),
 			alpha*v.V[0], alpha*v.V[1], alpha*v.V[2], alpha*v.V[3])
 	}
 	return n > 0 // dimension 0: every entry vacuously dominates
@@ -179,30 +218,34 @@ func (c *Columns) DominatesAny(v Vector) bool {
 	n := c.n
 	switch c.dim {
 	case 1:
-		return anyGE1(c.col[0][:n], v.V[0])
+		return anyGE1(c.prefix(0, n), v.V[0])
 	case 2:
-		return anyGE2(c.col[0][:n], c.col[1][:n], v.V[0], v.V[1])
+		return anyGE2(c.prefix(0, n), c.prefix(1, n), v.V[0], v.V[1])
 	case 3:
-		return anyGE3(c.col[0][:n], c.col[1][:n], c.col[2][:n], v.V[0], v.V[1], v.V[2])
+		return anyGE3(c.prefix(0, n), c.prefix(1, n), c.prefix(2, n), v.V[0], v.V[1], v.V[2])
 	case 4:
-		return anyGE4(c.col[0][:n], c.col[1][:n], c.col[2][:n], c.col[3][:n],
+		return anyGE4(c.prefix(0, n), c.prefix(1, n), c.prefix(2, n), c.prefix(3, n),
 			v.V[0], v.V[1], v.V[2], v.V[3])
 	}
 	return n > 0
 }
 
 // PrefixMinInto fills dst with the running component-wise minima of the
-// block: dst[j] = min(c[0..j]). dst is resized to match and its storage
-// reused. The sweep computes exactly the chained Vector.Min corners the
-// sorted admission index kept before the columnar layout.
+// block: dst[j] = min(c[0..j]). dst takes the block's dimension and
+// length, reusing its storage when it suffices. The sweep computes
+// exactly the chained Vector.Min corners the sorted admission index
+// kept before the columnar layout.
 //
 //rmq:hotpath
 func (c *Columns) PrefixMinInto(dst *Columns) {
-	dst.dim = c.dim
+	dst.n = 0
+	dst.setDim(c.dim)
+	if c.n > int(dst.stride) && c.dim > 0 {
+		dst.restride(int(c.stride))
+	}
 	dst.n = c.n
 	for d := 0; d < int(c.dim); d++ {
-		dst.col[d] = growCol(dst.col[d], c.n)
-		prefixMinCol(dst.col[d], c.col[d][:c.n])
+		prefixMinCol(dst.Col(d), c.Col(d))
 	}
 }
 
@@ -217,19 +260,8 @@ func (c *Columns) CellsInto(invLnAlpha float64, dst [][MaxMetrics]int16) {
 	dst = dst[:c.n]
 	clear(dst)
 	for d := 0; d < int(c.dim); d++ {
-		cellsCol(c.col[d][:c.n], invLnAlpha, dst, d)
+		cellsCol(c.Col(d), invLnAlpha, dst, d)
 	}
-}
-
-// growCol returns s resized to length n, reallocating only when the
-// capacity no longer suffices.
-//
-//rmq:hotpath
-func growCol(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n) //rmq:allow-alloc(amortized corner-column growth, reused across index rebuilds)
-	}
-	return s[:n]
 }
 
 //rmq:hotpath

@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -280,6 +281,171 @@ func TestColumnsCellsIntoMatchesVectorCells(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// checkAgainstVectors verifies every read path and kernel of c against
+// the plain []Vector loops over ref, the AoS sequence c must mirror:
+// At and Col entry-wise, the two dominance sweeps on random and member
+// probes, the prefix-restricted sweep, the corner block and the cell
+// coordinates.
+func checkAgainstVectors(t *testing.T, rng *rand.Rand, c *Columns, ref []Vector, dim int, step string) {
+	t.Helper()
+	if c.Len() != len(ref) {
+		t.Fatalf("%s: Len = %d, reference has %d", step, c.Len(), len(ref))
+	}
+	for i, v := range ref {
+		if c.At(i) != v {
+			t.Fatalf("%s: At(%d) = %v, want %v", step, i, c.At(i), v)
+		}
+	}
+	for d := 0; d < dim; d++ {
+		col := c.Col(d)
+		if len(col) != len(ref) || cap(col) != len(ref) {
+			t.Fatalf("%s: Col(%d) len %d cap %d, want both %d", step, d, len(col), cap(col), len(ref))
+		}
+		for i, x := range col {
+			if x != ref[i].V[d] {
+				t.Fatalf("%s: Col(%d)[%d] = %g, want %g", step, d, i, x, ref[i].V[d])
+			}
+		}
+	}
+	for probe := 0; probe < 40; probe++ {
+		v := colRandVec(rng, dim)
+		if probe%4 == 0 && len(ref) > 0 {
+			v = ref[rng.IntN(len(ref))]
+		}
+		alpha := []float64{1, 2, 25}[probe%3]
+		n := rng.IntN(len(ref) + 2)
+		var approx, prefix, dominates bool
+		for j, e := range ref {
+			if e.ApproxDominates(v, alpha) {
+				approx = true
+				prefix = prefix || j < n
+			}
+			dominates = dominates || v.Dominates(e)
+		}
+		if got := c.ApproxDominatedBy(v, alpha); got != approx {
+			t.Fatalf("%s: ApproxDominatedBy(%v, %g) = %v, reference %v", step, v, alpha, got, approx)
+		}
+		if got := c.PrefixApproxDominatedBy(n, v, alpha); got != prefix {
+			t.Fatalf("%s: PrefixApproxDominatedBy(%d, %v, %g) = %v, reference %v", step, n, v, alpha, got, prefix)
+		}
+		if got := c.DominatesAny(v); got != dominates {
+			t.Fatalf("%s: DominatesAny(%v) = %v, reference %v", step, v, got, dominates)
+		}
+	}
+	var corners Columns
+	c.PrefixMinInto(&corners)
+	var corner Vector
+	for j, v := range ref {
+		if j == 0 {
+			corner = v
+		} else {
+			corner = corner.Min(v)
+		}
+		if corners.At(j) != corner {
+			t.Fatalf("%s: prefix-min[%d] = %v, chained Min %v", step, j, corners.At(j), corner)
+		}
+	}
+	invLnAlpha := 1 / math.Log(2)
+	cells := make([][MaxMetrics]int16, len(ref))
+	c.CellsInto(invLnAlpha, cells)
+	for j, v := range ref {
+		if cells[j] != v.Cells(invLnAlpha) {
+			t.Fatalf("%s: cells[%d] = %v, want %v", step, j, cells[j], v.Cells(invLnAlpha))
+		}
+	}
+}
+
+// TestColumnsStridedBlockMatchesReference drives one block through
+// every transition of its shared backing array — appends across each
+// stride doubling, Grow on a live block, compaction after a
+// relocation, a corner block reused across dimensions, and Reset then
+// reuse — re-checking it against the []Vector reference after each.
+func TestColumnsStridedBlockMatchesReference(t *testing.T) {
+	for dim := 1; dim <= MaxMetrics; dim++ {
+		rng := rand.New(rand.NewPCG(uint64(dim), 19))
+		var c Columns
+		var ref []Vector
+		appendN := func(n int) {
+			for range n {
+				v := colRandVec(rng, dim)
+				ref = append(ref, v)
+				c.Append(v)
+			}
+		}
+
+		// Appends one at a time across the stride growth 4 → 8 → … → 128,
+		// checked on both sides of every boundary.
+		for len(ref) < 100 {
+			appendN(1)
+			switch len(ref) {
+			case 1, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 100:
+				checkAgainstVectors(t, rng, &c, ref, dim, fmt.Sprintf("dim %d append %d", dim, len(ref)))
+			}
+		}
+
+		// Grow on a non-empty block relocates it without touching the
+		// contents, and later appends land in the reserved space.
+		c.Grow(int8(dim), 300)
+		checkAgainstVectors(t, rng, &c, ref, dim, fmt.Sprintf("dim %d grow", dim))
+		appendN(150)
+		checkAgainstVectors(t, rng, &c, ref, dim, fmt.Sprintf("dim %d append after grow", dim))
+		c.Grow(int8(dim), 10) // below Len: no-op
+		checkAgainstVectors(t, rng, &c, ref, dim, fmt.Sprintf("dim %d shrinking grow", dim))
+
+		// Move/Truncate after the relocations above: keep every third
+		// entry, the way an eviction sweep compacts a class.
+		k := 0
+		for i := 0; i < len(ref); i += 3 {
+			c.Move(k, i)
+			ref[k] = ref[i]
+			k++
+		}
+		c.Truncate(k)
+		ref = ref[:k]
+		checkAgainstVectors(t, rng, &c, ref, dim, fmt.Sprintf("dim %d compact", dim))
+		appendN(7) // appends after a truncation reuse the freed slots
+		checkAgainstVectors(t, rng, &c, ref, dim, fmt.Sprintf("dim %d append after compact", dim))
+
+		// PrefixMinInto into a destination last used at every other
+		// dimension, larger and smaller blocks alike.
+		for other := 1; other <= MaxMetrics; other++ {
+			if other == dim {
+				continue
+			}
+			var dst Columns
+			fillColumns(rng, &dst, 3+37*other, other)
+			c.PrefixMinInto(&dst)
+			if dst.Dim() != dim || dst.Len() != len(ref) {
+				t.Fatalf("dim %d: corners into a dim-%d block: Dim %d Len %d", dim, other, dst.Dim(), dst.Len())
+			}
+			corner := ref[0]
+			for j, v := range ref {
+				corner = corner.Min(v)
+				if dst.At(j) != corner {
+					t.Fatalf("dim %d: corners into a dim-%d block: [%d] = %v, want %v", dim, other, j, dst.At(j), corner)
+				}
+			}
+		}
+
+		// Reset, then reuse: first at another dimension over the same
+		// backing array, then back at the original one.
+		c.Reset()
+		ref = ref[:0]
+		checkAgainstVectors(t, rng, &c, ref, dim, fmt.Sprintf("dim %d reset", dim))
+		other := dim%MaxMetrics + 1
+		for range 70 {
+			v := colRandVec(rng, other)
+			ref = append(ref, v)
+			c.Append(v)
+		}
+		checkAgainstVectors(t, rng, &c, ref, other, fmt.Sprintf("dim %d reused at dim %d", dim, other))
+		c.Reset()
+		ref = ref[:0]
+		appendN(90)
+		checkAgainstVectors(t, rng, &c, ref, dim, fmt.Sprintf("dim %d reused", dim))
 	}
 }
 

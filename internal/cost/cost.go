@@ -10,8 +10,10 @@
 // relations (see internal/quality).
 //
 // Besides the scalar Vector relations the package provides Columns, a
-// struct-of-arrays block (one contiguous []float64 per metric, parallel
-// to append order) with batch forms of the same predicates:
+// struct-of-arrays block (one contiguous column per metric, parallel to
+// append order, all columns strided through one backing array so a
+// block is a single allocation) with batch forms of the same
+// predicates:
 // ApproxDominatedBy and DominatesAny sweep a whole frontier per call,
 // PrefixMinInto produces the running corner minima of a sorted block,
 // and CellsInto batch-computes α-cell grid coordinates. The kernels

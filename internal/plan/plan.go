@@ -257,30 +257,41 @@ func JoinOpsProducing(inner, out OutputProp) []JoinOp { return joinOpsByInnerOut
 // join plans have both children set. Plans are shared freely (the plan
 // cache aliases sub-plans across plans), so they must never be mutated
 // after construction — transformations build new nodes instead.
+//
+// Field order is part of the cache's memory budget: every cached plan
+// is one of these, so the word-sized fields come first and the small
+// scalars pack together at the end. That keeps the struct at 96 bytes,
+// a Go size class of its own; interleaving small and word-sized fields
+// pads it to 120 bytes, which allocates as 128. A new field belongs
+// with its size peers; the cache package's TestCacheFootprint fails
+// when the struct outgrows 96.
 type Plan struct {
 	// Rel is the set of tables joined by the plan (p.rel).
 	Rel tableset.Set
+	// Cost is the plan's cost vector under the run's cost model.
+	Cost cost.Vector
+	// Card is the estimated output cardinality in rows.
+	Card float64
+
+	// Join plans: Outer and Inner are the children, Join (below) the
+	// operator.
+	Outer *Plan
+	Inner *Plan
+
+	// Table is the scanned table of a scan plan (when Outer == nil).
+	Table int
+
 	// RelID is the interned id of Rel under the constructing cost model's
 	// interner (see costmodel.Model.Interner). The plan cache indexes its
 	// buckets by it, avoiding a hash of Rel on every probe. It is
 	// tableset.NoID on hand-built plans, which fall back to Set-keyed
 	// paths.
 	RelID tableset.ID
-	// Cost is the plan's cost vector under the run's cost model.
-	Cost cost.Vector
-	// Card is the estimated output cardinality in rows.
-	Card float64
 	// Output is the data representation the plan produces.
 	Output OutputProp
-
-	// Table and Scan describe scan plans (when Outer == nil).
-	Table int
-	Scan  ScanOp
-
-	// Join, Outer and Inner describe join plans.
-	Join  JoinOp
-	Outer *Plan
-	Inner *Plan
+	// Scan is the operator of a scan plan, Join that of a join plan.
+	Scan ScanOp
+	Join JoinOp
 
 	// Aux is scratch bookkeeping space for optimizers operating on
 	// mutable Scratch-owned nodes (the climbing hot path marks

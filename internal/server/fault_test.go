@@ -5,6 +5,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"rmq"
 	"rmq/internal/faultinject"
 )
 
@@ -315,6 +317,32 @@ func TestServerCacheBudgetSheds(t *testing.T) {
 		t.Fatalf("optimize after shed: status %d", code)
 	}
 	checkFrontier(t, &resp)
+}
+
+// TestServerCacheBudgetShedsLateStores pins per-store shedding: a
+// metric-subset store created after its catalog was already shed to
+// the α = 64 ceiling must itself be shed by the next budget pass, not
+// keep admitting at the registered retention because a sibling store
+// already sits at the ceiling.
+func TestServerCacheBudgetShedsLateStores(t *testing.T) {
+	srv, ts := testServer(t, Config{MaxCacheBytes: 1})
+	id := register(t, ts, genBody)
+	sess := srv.catalog(id).sess
+	ctx := context.Background()
+	if _, err := sess.Optimize(ctx, rmq.WithMaxIterations(300), rmq.WithSeed(1)); err != nil {
+		t.Fatal(err)
+	}
+	if removed := sess.TightenCache(64); removed == 0 {
+		t.Fatal("shedding the warmed catalog to α = 64 removed nothing")
+	}
+	if _, err := sess.Optimize(ctx, rmq.WithMetrics(rmq.MetricTime, rmq.MetricBuffer),
+		rmq.WithMaxIterations(300), rmq.WithSeed(1)); err != nil {
+		t.Fatal(err)
+	}
+	srv.enforceCacheBudget()
+	if removed := sess.TightenCache(64); removed != 0 {
+		t.Errorf("budget pass left the new subset store unshed: TightenCache(64) then removed %d plans", removed)
+	}
 }
 
 // TestServerSnapshotURLRegistration pins the peer hand-off: a replica

@@ -123,7 +123,7 @@ type Server struct {
 	// service is an EWMA of observed /optimize service time in
 	// nanoseconds; it sizes the Retry-After hint on 429.
 	service atomic.Int64
-	// shedEvents counts cache-budget retention tightenings.
+	// shedEvents counts cache-budget steps that dropped plans.
 	shedEvents atomic.Uint64
 
 	evMu sync.Mutex
@@ -308,17 +308,19 @@ func (s *Server) cacheBytes() int64 {
 }
 
 // enforceCacheBudget sheds plan-cache memory when the estimated total
-// exceeds MaxCacheBytes: it tightens every catalog's effective cache
-// retention in escalating steps (α 2, 4, … 64) until the estimate is
-// back under budget. By the anytime contract each surviving cache is a
-// valid coarser-α frontier set — the server degrades warm-start detail
-// instead of growing until the OOM killer picks a victim. Runs after
-// requests, off the request's critical path; concurrent callers
-// coalesce onto one shedder. Steps a catalog has already reached are
-// skipped (admission under the raised retention keeps its stores
-// pruned), so a server pinned over budget at the α = 64 ceiling does
-// no repeated sweeping — it has already shed everything this design
-// allows.
+// exceeds MaxCacheBytes: it tightens the effective retention of every
+// catalog's stores in escalating steps (α 2, 4, … 64) until the
+// estimate is back under budget. By the anytime contract each
+// surviving cache is a valid coarser-α frontier set — the server
+// degrades warm-start detail instead of growing until the OOM killer
+// picks a victim. Runs after requests, off the request's critical
+// path; concurrent callers coalesce onto one shedder. The step is
+// decided per store (Session.TightenCache skips stores already at the
+// step's α), so a metric-subset store created after its catalog was
+// shed is caught up on the next pass, while a server pinned over
+// budget at the α = 64 ceiling does no repeated sweeping — it has
+// already shed everything this design allows. A step that drops plans
+// counts as one shed event.
 func (s *Server) enforceCacheBudget() {
 	if s.cfg.MaxCacheBytes <= 0 || s.cacheBytes() <= s.cfg.MaxCacheBytes {
 		return
@@ -332,14 +334,11 @@ func (s *Server) enforceCacheBudget() {
 		if total <= s.cfg.MaxCacheBytes {
 			return
 		}
-		removed, tightened := 0, false
+		removed := 0
 		for _, e := range s.entries() {
-			if alpha > e.sess.EffectiveRetention() {
-				removed += e.sess.TightenCache(alpha)
-				tightened = true
-			}
+			removed += e.sess.TightenCache(alpha)
 		}
-		if !tightened {
+		if removed == 0 {
 			continue
 		}
 		s.shedEvents.Add(1)

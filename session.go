@@ -159,10 +159,14 @@ func (s *Session) EffectiveRetention() float64 {
 	return eff
 }
 
-// TightenCache re-prunes every shared cache of the session under the
-// coarser retention precision α and makes it the effective retention
-// for future admissions, reporting the number of plans dropped. It is
-// the graceful-degradation lever for memory pressure: by the anytime
+// TightenCache re-prunes every shared cache of the session that still
+// admits under a finer precision than α under the coarser α, makes α
+// its effective retention for future admissions, and reports the
+// number of plans dropped. Stores already at α or coarser are left
+// alone: their admissions pruned under it already. The check is per
+// store, so a metric subset first optimized after an earlier
+// tightening is caught up by the next call. It is the
+// graceful-degradation lever for memory pressure: by the anytime
 // contract the surviving cache is a valid coarser-α frontier set, so
 // warm starts stay correct, merely less detailed. The declared
 // retention (what runs assert against via WithCacheRetention) is
@@ -175,7 +179,9 @@ func (s *Session) TightenCache(alpha float64) (removed int) {
 	}
 	s.mu.Unlock()
 	for _, sh := range stores {
-		removed += sh.Shed(alpha)
+		if sh.EffectiveRetention() < alpha {
+			removed += sh.Shed(alpha)
+		}
 	}
 	return removed
 }
