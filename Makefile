@@ -5,7 +5,7 @@
 GO ?= go
 
 # Benchmarks gated by CI (must match .github/workflows/ci.yml).
-GATE_BENCH = BenchmarkClimb50$$|BenchmarkAblationClimb|BenchmarkRMQIteration50|BenchmarkJoinCost|BenchmarkNewJoin|BenchmarkStrictlyDominates|BenchmarkStepSteadyState|BenchmarkApproxFrontiers|BenchmarkParallelScaling|BenchmarkWorkloadThroughput|BenchmarkServerThroughput|BenchmarkSnapshotEncode|BenchmarkSnapshotRestore|BenchmarkDominatesColumns|BenchmarkAdmissionProbe
+GATE_BENCH = BenchmarkClimb50$$|BenchmarkAblationClimb|BenchmarkRMQIteration50|BenchmarkJoinCost|BenchmarkNewJoin|BenchmarkStrictlyDominates|BenchmarkStepSteadyState|BenchmarkApproxFrontiers|BenchmarkParallelScaling|BenchmarkWorkloadThroughput|BenchmarkServerThroughput|BenchmarkSnapshotEncode|BenchmarkSnapshotRestore|BenchmarkDominatesColumns|BenchmarkAdmissionProbe|BenchmarkLargeFrontier
 GATE_PKGS  = . ./internal/core ./internal/costmodel ./internal/cost ./internal/cache ./internal/server
 BENCH_OUT ?= BENCH_$(shell date +%F).json
 THRESHOLD ?= 0.2

@@ -337,24 +337,3 @@ func TestAlgorithmsListsBuiltins(t *testing.T) {
 		}
 	}
 }
-
-func TestOptimizeWithOptionsShim(t *testing.T) {
-	cat := rmq.GenerateCatalog(rmq.WorkloadSpec{Tables: 6}, 42)
-	f, err := rmq.OptimizeWithOptions(cat, rmq.Options{
-		Metrics:       []rmq.Metric{rmq.MetricTime, rmq.MetricBuffer},
-		MaxIterations: 20,
-		Seed:          7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Plans) == 0 {
-		t.Fatal("empty frontier from deprecated shim")
-	}
-	if len(f.Metrics) != 2 {
-		t.Errorf("metrics = %v", f.Metrics)
-	}
-	if _, err := rmq.OptimizeWithOptions(nil, rmq.Options{}); err == nil {
-		t.Error("nil catalog accepted")
-	}
-}

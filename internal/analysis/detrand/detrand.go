@@ -2,12 +2,12 @@
 // trajectory-bearing packages deterministic.
 //
 // The optimizer's differential tests pin whole RMQ trajectories
-// bit-identical across implementations (indexed vs naive buckets,
-// in-place vs copying climbs, shared vs private caches), and every
-// kernel rewrite is validated against that discipline. It survives
-// only while the packages on the trajectory derive all randomness from
-// seeded sources and never let wall-clock time or map iteration order
-// influence an ordered result.
+// bit-identical across implementations (columnar buckets vs the
+// paper-literal oracle, in-place vs copying climbs, shared vs private
+// caches), and every kernel rewrite is validated against that
+// discipline. It survives only while the packages on the trajectory
+// derive all randomness from seeded sources and never let wall-clock
+// time or map iteration order influence an ordered result.
 //
 // A package opts in with //rmq:deterministic in its package doc
 // comment. In such packages (non-test files), the analyzer reports

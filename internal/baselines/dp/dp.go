@@ -62,7 +62,7 @@ func init() {
 		if alpha == 0 {
 			alpha = 2
 		}
-		if alpha < 1 {
+		if !(alpha >= 1) {
 			return nil, fmt.Errorf("DPAlpha %g < 1", alpha)
 		}
 		return New(alpha), nil

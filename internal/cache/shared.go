@@ -85,7 +85,7 @@ type Shared struct {
 }
 
 // sharedBucket is one table set's slot in the store: the ordinary
-// dominance-indexed Bucket behind a per-bucket mutex, plus a lock-free
+// columnar Bucket behind a per-bucket mutex, plus a lock-free
 // mirror of its admission epoch so pullers can skip unchanged buckets
 // without taking the lock.
 type sharedBucket struct {
@@ -103,12 +103,13 @@ type sharedBucket struct {
 // NewShared returns an empty shared store over the given shared-mode
 // interner (it panics on a single-owner interner — sharing plans
 // requires one concurrency-safe id namespace). retain is the retention
-// precision α; values below 1 (including 0) select exact retention.
+// precision α; values below 1 (including 0) and NaN select exact
+// retention.
 func NewShared(in *tableset.Interner, retain float64) *Shared {
 	if in == nil || !in.Concurrent() {
 		panic("cache: NewShared needs a shared-mode interner (tableset.NewSharedInterner)")
 	}
-	if retain < 1 {
+	if !(retain >= 1) {
 		retain = 1
 	}
 	return &Shared{in: in, retain: retain}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -159,6 +160,20 @@ func TestSharedRetentionPrunes(t *testing.T) {
 	other := caches[1]
 	if got := syncs[1].Pull(other); got != 1 {
 		t.Fatalf("pulled %d plans, want 1", got)
+	}
+}
+
+// TestNewSharedRetentionDefaults checks which retention values select
+// exact retention: anything below 1, and NaN, which no `< 1` test
+// catches.
+func TestNewSharedRetentionDefaults(t *testing.T) {
+	for _, retain := range []float64{0, 0.5, -1, math.Inf(-1), math.NaN()} {
+		if got := NewShared(tableset.NewSharedInterner(), retain).Retention(); got != 1 {
+			t.Errorf("NewShared(%v).Retention() = %v, want 1", retain, got)
+		}
+	}
+	if got := NewShared(tableset.NewSharedInterner(), 2).Retention(); got != 2 {
+		t.Errorf("NewShared(2).Retention() = %v, want 2", got)
 	}
 }
 

@@ -29,10 +29,9 @@ const bytesPerSet = int64(unsafe.Sizeof(sharedBucket{})) + int64(unsafe.Sizeof((
 
 // Bytes estimates the store's retained memory from its set and plan
 // counts, sized by the structs themselves (unsafe.Sizeof), so layout
-// changes carry through. An estimate, not an accounting: the lazily
-// allocated index state of large buckets (bucketIndex) and the slice
-// and column capacity behind each frontier are excluded, and so are
-// the private caches of the session's pooled problem instances, which
+// changes carry through. An estimate, not an accounting: the slice and
+// column capacity behind each frontier is excluded, and so are the
+// private caches of the session's pooled problem instances, which
 // hold their own Bucket per table set they have touched. The process
 // footprint is therefore well above it. Budget checks should leave
 // headroom accordingly.
@@ -110,10 +109,8 @@ func (s *Shared) Shed(alpha float64) (removed int) {
 // keeping a plan only when the plans kept so far would still admit it
 // under α — exactly the prune an admission sequence under retention α
 // would have produced. Admission order and ascending epochs are
-// preserved, the per-output class mirrors are rebuilt wholesale, the
-// out-of-line index state (class indexes and α-cell grid) is dropped —
-// a grid rejection must never chain through a plan this shed removed —
-// and the corner stays: a lower bound over a superset still bounds the
+// preserved, the per-output class mirrors are rebuilt wholesale, and
+// the corner stays: a lower bound over a superset still bounds the
 // survivors.
 func (b *Bucket) shed(alpha float64) (removed int) {
 	if len(b.plans) == 0 {
@@ -139,7 +136,6 @@ func (b *Bucket) shed(alpha float64) (removed int) {
 		return 0
 	}
 	b.rebuildMirrors()
-	b.ix = nil
 	return removed
 }
 
@@ -148,9 +144,6 @@ func (b *Bucket) shed(alpha float64) (removed int) {
 // Bulk mutations that do not go through Insert — shed, snapshot import —
 // use it; admissions and evictions maintain the mirrors incrementally.
 func (b *Bucket) rebuildMirrors() {
-	if b.naive {
-		return
-	}
 	// Pre-size the mirrors to their exact final shape: one allocation
 	// per class plus one per column instead of amortized growth — a
 	// restore materializes hundreds of thousands of plans through this

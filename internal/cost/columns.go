@@ -31,8 +31,8 @@ import (
 // components the fused form max(xᵢ-bᵢ, …) ≤ 0 decides exactly the same
 // predicate as the member-wise xᵢ ≤ bᵢ comparisons, because IEEE-754
 // subtraction of finite doubles rounds to zero only when the operands
-// are equal. Callers that admit α = +Inf must handle it before the
-// sweep, exactly as Vector.ApproxDominates does.
+// are equal. ApproxDominatedBy handles α = +Inf before the sweep,
+// exactly as Vector.ApproxDominates does.
 type Columns struct {
 	data   []float64 // len(data) ≥ dim*stride; column d starts at d*stride
 	n      int
@@ -120,8 +120,7 @@ func (c *Columns) At(i int) Vector {
 }
 
 // Col returns the column for metric d, valid until the next mutation.
-// Callers must treat it as read-only; admission's binary search over
-// the sorted first metric reads it directly.
+// Callers must treat it as read-only.
 //
 //rmq:hotpath
 func (c *Columns) Col(d int) []float64 { return c.prefix(d, c.n) }
@@ -174,22 +173,13 @@ func (c *Columns) Grow(dim int8, n int) {
 // Vector.ApproxDominates with v as the right-hand side, and decides
 // bit-identically to that per-entry loop: the bounds α·vᵢ are hoisted
 // once (the same products the per-entry loop would compute), and with
-// α = 1 the bound is vᵢ itself since 1·x == x exactly.
+// α = 1 the bound is vᵢ itself since 1·x == x exactly. With α = +Inf
+// every entry dominates, so the answer is whether the block is
+// non-empty.
 //
 //rmq:hotpath
 func (c *Columns) ApproxDominatedBy(v Vector, alpha float64) bool {
-	return c.PrefixApproxDominatedBy(c.n, v, alpha)
-}
-
-// PrefixApproxDominatedBy is ApproxDominatedBy restricted to the first
-// n entries. Sorted admission indexes use it to sweep only the prefix
-// whose first-metric values can still dominate the probe.
-//
-//rmq:hotpath
-func (c *Columns) PrefixApproxDominatedBy(n int, v Vector, alpha float64) bool {
-	if n > c.n {
-		n = c.n
-	}
+	n := c.n
 	if math.IsInf(alpha, 1) {
 		return n > 0
 	}
@@ -228,72 +218,6 @@ func (c *Columns) DominatesAny(v Vector) bool {
 			v.V[0], v.V[1], v.V[2], v.V[3])
 	}
 	return n > 0
-}
-
-// PrefixMinInto fills dst with the running component-wise minima of the
-// block: dst[j] = min(c[0..j]). dst takes the block's dimension and
-// length, reusing its storage when it suffices. The sweep computes
-// exactly the chained Vector.Min corners the sorted admission index
-// kept before the columnar layout.
-//
-//rmq:hotpath
-func (c *Columns) PrefixMinInto(dst *Columns) {
-	dst.n = 0
-	dst.setDim(c.dim)
-	if c.n > int(dst.stride) && c.dim > 0 {
-		dst.restride(int(c.stride))
-	}
-	dst.n = c.n
-	for d := 0; d < int(c.dim); d++ {
-		prefixMinCol(dst.Col(d), c.Col(d))
-	}
-}
-
-// CellsInto writes the α-cell coordinates (Vector.Cells) of every entry
-// into dst, which must have length ≥ Len. Unused metric slots are
-// zeroed, matching the per-Vector result. Buckets batch-compute grid
-// coordinates with it at Prepare time instead of calling Cells once per
-// plan.
-//
-//rmq:hotpath
-func (c *Columns) CellsInto(invLnAlpha float64, dst [][MaxMetrics]int16) {
-	dst = dst[:c.n]
-	clear(dst)
-	for d := 0; d < int(c.dim); d++ {
-		cellsCol(c.Col(d), invLnAlpha, dst, d)
-	}
-}
-
-//rmq:hotpath
-func prefixMinCol(dst, src []float64) {
-	if len(src) == 0 {
-		return
-	}
-	m := src[0]
-	dst[0] = m
-	for i, x := range src[1:] {
-		if x < m {
-			m = x
-		}
-		dst[i+1] = m
-	}
-}
-
-//rmq:hotpath
-func cellsCol(src []float64, invLnAlpha float64, dst [][MaxMetrics]int16, d int) {
-	for j, x := range src {
-		if x < CellFloor {
-			x = CellFloor
-		}
-		k := math.Floor(math.Log(x) * invLnAlpha)
-		switch {
-		case k > cellClamp:
-			k = cellClamp
-		case k < -cellClamp:
-			k = -cellClamp
-		}
-		dst[j][d] = int16(k)
-	}
 }
 
 // The fixed-dimension sweeps below are the actual kernels: one fused

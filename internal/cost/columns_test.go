@@ -110,36 +110,46 @@ func TestColumnsMoveTruncate(t *testing.T) {
 
 // TestColumnsApproxDominatedByMatchesReference pins the batch admission
 // kernel to the per-Vector loop it replaces, across every dimension and
-// the α range the engine uses (exact, coarse, and the +Inf shed probe).
+// the α range the engine uses (exact, coarse, and the +Inf shed probe),
+// on the full block and again after truncations, which must hide the
+// cut entries from the sweep although their values stay in the backing
+// array.
 func TestColumnsApproxDominatedByMatchesReference(t *testing.T) {
 	for dim := 1; dim <= MaxMetrics; dim++ {
 		for _, alpha := range []float64{1, 1.5, 2, 25, math.Inf(1)} {
 			rng := rand.New(rand.NewPCG(uint64(dim)*100+uint64(math.Min(alpha, 99)), 3))
 			var c Columns
 			ref := fillColumns(rng, &c, 200, dim)
-			for probe := 0; probe < 500; probe++ {
-				v := colRandVec(rng, dim)
-				if probe%5 == 0 {
-					v = ref[rng.IntN(len(ref))] // exact member: ties matter
-				}
-				want := false
-				for _, e := range ref {
-					if e.ApproxDominates(v, alpha) {
-						want = true
-						break
+			for _, n := range []int{200, 150, 37, 1, 0} {
+				c.Truncate(n)
+				live := ref[:n]
+				for probe := 0; probe < 500; probe++ {
+					v := colRandVec(rng, dim)
+					if probe%5 == 0 {
+						v = ref[rng.IntN(len(ref))] // member, possibly cut: ties matter
 					}
-				}
-				if got := c.ApproxDominatedBy(v, alpha); got != want {
-					t.Fatalf("dim %d α=%g: ApproxDominatedBy(%v) = %v, reference %v",
-						dim, alpha, v, got, want)
+					want := false
+					for _, e := range live {
+						if e.ApproxDominates(v, alpha) {
+							want = true
+							break
+						}
+					}
+					if got := c.ApproxDominatedBy(v, alpha); got != want {
+						t.Fatalf("dim %d α=%g n=%d: ApproxDominatedBy(%v) = %v, reference %v",
+							dim, alpha, n, v, got, want)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestColumnsPrefixApproxDominatedByMatchesReference checks the sorted
-// index's prefix-restricted sweep, including n past the block length.
+// TestColumnsPrefixApproxDominatedByMatchesReference checks the sweep
+// over a random prefix of the block: the block is cut to n entries
+// (n may overshoot the block, which then stays whole), probed, and
+// grown back by re-appending the cut entries, so stale values left
+// behind a cut must never leak into a later sweep.
 func TestColumnsPrefixApproxDominatedByMatchesReference(t *testing.T) {
 	for dim := 1; dim <= MaxMetrics; dim++ {
 		rng := rand.New(rand.NewPCG(uint64(dim), 9))
@@ -147,17 +157,24 @@ func TestColumnsPrefixApproxDominatedByMatchesReference(t *testing.T) {
 		ref := fillColumns(rng, &c, 64, dim)
 		for probe := 0; probe < 300; probe++ {
 			v := colRandVec(rng, dim)
-			n := rng.IntN(len(ref) + 10) // deliberately overshoots
+			n := min(rng.IntN(len(ref)+10), len(ref)) // deliberately overshoots
 			alpha := []float64{1, 2, 25}[rng.IntN(3)]
 			want := false
-			for _, e := range ref[:min(n, len(ref))] {
+			for _, e := range ref[:n] {
 				if e.ApproxDominates(v, alpha) {
 					want = true
 					break
 				}
 			}
-			if got := c.PrefixApproxDominatedBy(n, v, alpha); got != want {
+			c.Truncate(n)
+			if got := c.ApproxDominatedBy(v, alpha); got != want {
 				t.Fatalf("dim %d n=%d α=%g: prefix sweep = %v, reference %v", dim, n, alpha, got, want)
+			}
+			for _, e := range ref[n:] {
+				c.Append(e)
+			}
+			if c.Len() != len(ref) {
+				t.Fatalf("dim %d: regrown block has %d entries, want %d", dim, c.Len(), len(ref))
 			}
 		}
 	}
@@ -197,98 +214,12 @@ func TestColumnsEmptyBlock(t *testing.T) {
 	if c.DominatesAny(New(1)) {
 		t.Error("probe dominates an entry of an empty block")
 	}
-	var dst Columns
-	c.PrefixMinInto(&dst)
-	if dst.Len() != 0 {
-		t.Errorf("prefix-min of empty block has %d entries", dst.Len())
-	}
-}
-
-// TestColumnsPrefixMinIntoMatchesChainedMin pins the corner sweep to the
-// chained Vector.Min fold the sorted index used before the columnar
-// layout — the bit-identity the admission corners depend on.
-func TestColumnsPrefixMinIntoMatchesChainedMin(t *testing.T) {
-	for dim := 1; dim <= MaxMetrics; dim++ {
-		rng := rand.New(rand.NewPCG(uint64(dim), 13))
-		var c, dst Columns
-		ref := fillColumns(rng, &c, 150, dim)
-		c.PrefixMinInto(&dst)
-		if dst.Len() != len(ref) || dst.Dim() != dim {
-			t.Fatalf("dim %d: dst Len=%d Dim=%d", dim, dst.Len(), dst.Dim())
-		}
-		corner := ref[0]
-		for j, v := range ref {
-			if j > 0 {
-				corner = corner.Min(v)
-			}
-			if dst.At(j) != corner {
-				t.Fatalf("dim %d: prefix-min[%d] = %v, chained Min %v", dim, j, dst.At(j), corner)
-			}
-		}
-		// Reuse must overwrite stale state, not blend with it.
-		c.Reset()
-		ref = fillColumns(rng, &c, 40, dim)
-		c.PrefixMinInto(&dst)
-		if dst.Len() != 40 {
-			t.Fatalf("dim %d: reused dst Len=%d", dim, dst.Len())
-		}
-		corner = ref[0]
-		for j, v := range ref {
-			if j > 0 {
-				corner = corner.Min(v)
-			}
-			if dst.At(j) != corner {
-				t.Fatalf("dim %d: reused prefix-min[%d] = %v, want %v", dim, j, dst.At(j), corner)
-			}
-		}
-	}
-}
-
-// TestColumnsCellsIntoMatchesVectorCells pins the batch grid-coordinate
-// sweep to the per-Vector Cells call, including the CellFloor clamp and
-// the int16 cell clamp at both extremes.
-func TestColumnsCellsIntoMatchesVectorCells(t *testing.T) {
-	for dim := 1; dim <= MaxMetrics; dim++ {
-		for _, alpha := range []float64{1.01, 2, 25} {
-			rng := rand.New(rand.NewPCG(uint64(dim), 17))
-			invLnAlpha := 1 / math.Log(alpha)
-			var c Columns
-			ref := fillColumns(rng, &c, 100, dim)
-			// Edge vectors: zeros (CellFloor clamp) and saturation (clamp on
-			// the positive side).
-			edge := Zero(dim)
-			ref = append(ref, edge)
-			c.Append(edge)
-			for i := 0; i < dim; i++ {
-				edge.V[i] = Saturation
-			}
-			ref = append(ref, edge)
-			c.Append(edge)
-
-			dst := make([][MaxMetrics]int16, c.Len())
-			// Poison the buffer: CellsInto must fully overwrite live slots
-			// and zero the unused metric lanes.
-			for i := range dst {
-				for d := range dst[i] {
-					dst[i][d] = -1
-				}
-			}
-			c.CellsInto(invLnAlpha, dst)
-			for j, v := range ref {
-				if dst[j] != v.Cells(invLnAlpha) {
-					t.Fatalf("dim %d α=%g: cells[%d] = %v, want %v",
-						dim, alpha, j, dst[j], v.Cells(invLnAlpha))
-				}
-			}
-		}
-	}
 }
 
 // checkAgainstVectors verifies every read path and kernel of c against
 // the plain []Vector loops over ref, the AoS sequence c must mirror:
-// At and Col entry-wise, the two dominance sweeps on random and member
-// probes, the prefix-restricted sweep, the corner block and the cell
-// coordinates.
+// At and Col entry-wise, and the two dominance sweeps on random and
+// member probes.
 func checkAgainstVectors(t *testing.T, rng *rand.Rand, c *Columns, ref []Vector, dim int, step string) {
 	t.Helper()
 	if c.Len() != len(ref) {
@@ -316,44 +247,16 @@ func checkAgainstVectors(t *testing.T, rng *rand.Rand, c *Columns, ref []Vector,
 			v = ref[rng.IntN(len(ref))]
 		}
 		alpha := []float64{1, 2, 25}[probe%3]
-		n := rng.IntN(len(ref) + 2)
-		var approx, prefix, dominates bool
-		for j, e := range ref {
-			if e.ApproxDominates(v, alpha) {
-				approx = true
-				prefix = prefix || j < n
-			}
+		var approx, dominates bool
+		for _, e := range ref {
+			approx = approx || e.ApproxDominates(v, alpha)
 			dominates = dominates || v.Dominates(e)
 		}
 		if got := c.ApproxDominatedBy(v, alpha); got != approx {
 			t.Fatalf("%s: ApproxDominatedBy(%v, %g) = %v, reference %v", step, v, alpha, got, approx)
 		}
-		if got := c.PrefixApproxDominatedBy(n, v, alpha); got != prefix {
-			t.Fatalf("%s: PrefixApproxDominatedBy(%d, %v, %g) = %v, reference %v", step, n, v, alpha, got, prefix)
-		}
 		if got := c.DominatesAny(v); got != dominates {
 			t.Fatalf("%s: DominatesAny(%v) = %v, reference %v", step, v, got, dominates)
-		}
-	}
-	var corners Columns
-	c.PrefixMinInto(&corners)
-	var corner Vector
-	for j, v := range ref {
-		if j == 0 {
-			corner = v
-		} else {
-			corner = corner.Min(v)
-		}
-		if corners.At(j) != corner {
-			t.Fatalf("%s: prefix-min[%d] = %v, chained Min %v", step, j, corners.At(j), corner)
-		}
-	}
-	invLnAlpha := 1 / math.Log(2)
-	cells := make([][MaxMetrics]int16, len(ref))
-	c.CellsInto(invLnAlpha, cells)
-	for j, v := range ref {
-		if cells[j] != v.Cells(invLnAlpha) {
-			t.Fatalf("%s: cells[%d] = %v, want %v", step, j, cells[j], v.Cells(invLnAlpha))
 		}
 	}
 }
@@ -361,8 +264,7 @@ func checkAgainstVectors(t *testing.T, rng *rand.Rand, c *Columns, ref []Vector,
 // TestColumnsStridedBlockMatchesReference drives one block through
 // every transition of its shared backing array — appends across each
 // stride doubling, Grow on a live block, compaction after a
-// relocation, a corner block reused across dimensions, and Reset then
-// reuse — re-checking it against the []Vector reference after each.
+// relocation, and Reset then reuse — re-checking it against the []Vector reference after each.
 func TestColumnsStridedBlockMatchesReference(t *testing.T) {
 	for dim := 1; dim <= MaxMetrics; dim++ {
 		rng := rand.New(rand.NewPCG(uint64(dim), 19))
@@ -408,27 +310,6 @@ func TestColumnsStridedBlockMatchesReference(t *testing.T) {
 		checkAgainstVectors(t, rng, &c, ref, dim, fmt.Sprintf("dim %d compact", dim))
 		appendN(7) // appends after a truncation reuse the freed slots
 		checkAgainstVectors(t, rng, &c, ref, dim, fmt.Sprintf("dim %d append after compact", dim))
-
-		// PrefixMinInto into a destination last used at every other
-		// dimension, larger and smaller blocks alike.
-		for other := 1; other <= MaxMetrics; other++ {
-			if other == dim {
-				continue
-			}
-			var dst Columns
-			fillColumns(rng, &dst, 3+37*other, other)
-			c.PrefixMinInto(&dst)
-			if dst.Dim() != dim || dst.Len() != len(ref) {
-				t.Fatalf("dim %d: corners into a dim-%d block: Dim %d Len %d", dim, other, dst.Dim(), dst.Len())
-			}
-			corner := ref[0]
-			for j, v := range ref {
-				corner = corner.Min(v)
-				if dst.At(j) != corner {
-					t.Fatalf("dim %d: corners into a dim-%d block: [%d] = %v, want %v", dim, other, j, dst.At(j), corner)
-				}
-			}
-		}
 
 		// Reset, then reuse: first at another dimension over the same
 		// backing array, then back at the original one.

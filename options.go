@@ -1,7 +1,6 @@
 package rmq
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -190,7 +189,7 @@ func WithSharedCache(enabled bool) Option {
 // runs reuse the store as-is.
 func WithCacheRetention(alpha float64) Option {
 	return func(c *config) {
-		if alpha < 1 {
+		if !(alpha >= 1) {
 			c.fail(fmt.Errorf("rmq: cache retention %v below 1", alpha))
 			return
 		}
@@ -338,66 +337,4 @@ func (c *config) observer() func(opt.Event) {
 			progress(p)
 		}
 	}
-}
-
-// Options configures OptimizeWithOptions, the pre-context form of the
-// API. The zero value optimizes with RMQ for one second under all three
-// cost metrics.
-//
-// Deprecated: Use Optimize with a context and functional options.
-type Options struct {
-	// Metrics is the cost metric subset (the paper's l); default all
-	// three.
-	Metrics []Metric
-	// Timeout bounds optimization time; default one second.
-	Timeout time.Duration
-	// MaxIterations, when > 0, additionally bounds the number of
-	// optimizer steps per worker.
-	MaxIterations int
-	// Seed makes the run reproducible; runs with equal seeds and
-	// MaxIterations produce identical frontiers.
-	Seed uint64
-	// Algorithm selects the optimizer; default AlgoRMQ.
-	Algorithm Algorithm
-	// DPAlpha is the approximation factor for AlgoDP; default 2.
-	DPAlpha float64
-	// Parallelism is the number of concurrent multi-start workers;
-	// default 1.
-	Parallelism int
-}
-
-// OptimizeWithOptions is the pre-context form of Optimize, kept so
-// existing callers migrate at their own pace. It cannot be cancelled.
-//
-// Deprecated: Use Optimize with a context and functional options.
-func OptimizeWithOptions(cat *Catalog, opts Options) (*Frontier, error) {
-	return Optimize(context.Background(), cat, opts.asOptions()...)
-}
-
-// asOptions translates the legacy struct (and its zero-value defaults)
-// into functional options.
-func (o Options) asOptions() []Option {
-	var out []Option
-	if len(o.Metrics) > 0 {
-		out = append(out, WithMetrics(o.Metrics...))
-	}
-	timeout := o.Timeout
-	if timeout <= 0 {
-		timeout = time.Second
-	}
-	out = append(out, WithTimeout(timeout))
-	if o.MaxIterations > 0 {
-		out = append(out, WithMaxIterations(o.MaxIterations))
-	}
-	out = append(out, WithSeed(o.Seed))
-	if o.Algorithm != "" {
-		out = append(out, WithAlgorithm(o.Algorithm))
-	}
-	if o.DPAlpha != 0 {
-		out = append(out, WithDPAlpha(o.DPAlpha))
-	}
-	if o.Parallelism > 1 {
-		out = append(out, WithParallelism(o.Parallelism))
-	}
-	return out
 }

@@ -119,7 +119,7 @@ type CacheStats struct {
 	Plans int
 	// Bytes is the estimated retained memory of those frontiers. An
 	// estimate from the set and plan counts, not an accounting of every
-	// index structure; see cache.Shared.Bytes.
+	// allocation; see cache.Shared.Bytes.
 	Bytes int64
 }
 

@@ -235,6 +235,22 @@ func TestWithCacheRetentionValidation(t *testing.T) {
 	}
 }
 
+// TestNaNPrecisionRejected covers the precision options' NaN case: NaN
+// compares false against every bound, so a `< 1` check lets it through.
+// A NaN retention made every snapshot of its session unrestorable, and
+// a NaN DP precision pruned nothing.
+func TestNaNPrecisionRejected(t *testing.T) {
+	cat := sharedTestCatalog(6)
+	if _, err := rmq.NewSession(cat, rmq.WithCacheRetention(math.NaN())); err == nil {
+		t.Error("NaN cache retention accepted")
+	}
+	_, err := rmq.Optimize(context.Background(), cat, rmq.WithAlgorithm(rmq.AlgoDP),
+		rmq.WithDPAlpha(math.NaN()), rmq.WithMaxIterations(1))
+	if err == nil {
+		t.Error("NaN DP precision accepted")
+	}
+}
+
 func slicesEqual(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
